@@ -29,7 +29,9 @@ struct GreedyResult {
 
 /// Runs greedy set multicover for the demands (LP definition). Ties are
 /// broken toward the smaller node id, making the result deterministic.
-/// O((n + m) log n) via a lazy priority queue.
+/// O(n + m + p log p) for p queue pops: spans are kept exact in O(n + m)
+/// total, and a lazy bucket queue indexed by span sorts each bucket by id
+/// once when it is drained.
 [[nodiscard]] GreedyResult greedy_kmds(const graph::Graph& g,
                                        const domination::Demands& demands);
 

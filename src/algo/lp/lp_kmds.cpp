@@ -303,17 +303,22 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
           const double k_i = static_cast<double>(demands[i]);
           const double lambda =
               c_plus > 0.0 ? std::min(1.0, (k_i - c[i]) / c_plus) : 1.0;
-          c[i] += c_plus;
-          double* const alpha_i = alpha.data() + base(i);
-          double* const beta_i = beta.data() + base(i);
-          alpha_i[0] += lambda * x_plus[i];
-          beta_i[0] += lambda * x_plus[i] * inv_dp;
-          std::size_t slot = 1;
-          for (NodeId w : g.neighbors(v)) {
-            const double xj = x_plus_wire[static_cast<std::size_t>(w)];
-            alpha_i[slot] += lambda * xj;
-            beta_i[slot] += lambda * xj * inv_dp;
-            ++slot;
+          // c_plus == 0 means every closed-neighbor increase is +0.0, so
+          // every alpha/beta increment below would add +0.0: skipping them is
+          // exact. The gray test still runs (demand-0 nodes need it).
+          if (c_plus != 0.0) {
+            c[i] += c_plus;
+            double* const alpha_i = alpha.data() + base(i);
+            double* const beta_i = beta.data() + base(i);
+            alpha_i[0] += lambda * x_plus[i];
+            beta_i[0] += lambda * x_plus[i] * inv_dp;
+            std::size_t slot = 1;
+            for (NodeId w : g.neighbors(v)) {
+              const double xj = x_plus_wire[static_cast<std::size_t>(w)];
+              alpha_i[slot] += lambda * xj;
+              beta_i[slot] += lambda * xj * inv_dp;
+              ++slot;
+            }
           }
           if (c[i] + kCoverageEps >= k_i) {
             white[i] = 0;
@@ -324,9 +329,12 @@ LpResult solve_fractional_kmds(const graph::Graph& g, const Demands& demands,
       lap(obs::PerfPhase::kLpDualColor);
 
       // Lines 23-24: exchange colors, recompute dynamic degrees (reads the
-      // white[] snapshot the previous barrier fixed).
+      // white[] snapshot the previous barrier fixed). A node at dynamic
+      // degree 0 has a gray closed neighborhood, and gray nodes never turn
+      // white again, so its degree stays 0 without a recount.
       runner.run([&](std::size_t first, std::size_t last, std::size_t) {
         for (std::size_t i = first; i < last; ++i) {
+          if (dyn_deg[i] == 0) continue;
           const NodeId v = static_cast<NodeId>(i);
           std::int32_t deg = white[i] ? 1 : 0;
           for (NodeId w : g.neighbors(v)) {

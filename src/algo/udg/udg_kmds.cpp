@@ -72,6 +72,11 @@ UdgResult solve_udg_kmds(const geom::UnitDiskGraph& udg,
   std::vector<std::uint8_t> elected(n, 0);
   double theta =
       udg_initial_theta_ex(g.n(), options.xi, options.theta_scale);
+  // One probe list per node at the final round's radius θ₁·2^{R-1} (exact:
+  // doubling is exact, as in the process's θ *= 2). Round r's probe N_v(θ)
+  // is the list prefix with distance <= θ — the process's predicate.
+  const geom::ProbeLists probes = geom::build_probe_lists(
+      udg, std::ldexp(theta, static_cast<int>(rounds - 1)));
 
   for (std::int64_t r = 0; r < rounds; ++r) {
     // Fresh ids for active nodes (passive nodes stopped executing Part I
@@ -87,11 +92,12 @@ UdgResult solve_udg_kmds(const geom::UnitDiskGraph& udg,
       if (!active[vi]) continue;
       NodeId best = v;
       std::uint64_t best_id = id[vi];
-      for (NodeId w : udg.neighbors_within(v, theta)) {
-        const auto wi = static_cast<std::size_t>(w);
+      for (const geom::ProbeLists::Entry& e : probes.of(v)) {
+        if (e.dist > theta) break;
+        const auto wi = static_cast<std::size_t>(e.node);
         if (!active[wi]) continue;
-        if (id[wi] > best_id || (id[wi] == best_id && w > best)) {
-          best = w;
+        if (id[wi] > best_id || (id[wi] == best_id && e.node > best)) {
+          best = e.node;
           best_id = id[wi];
         }
       }
@@ -107,66 +113,91 @@ UdgResult solve_udg_kmds(const geom::UnitDiskGraph& udg,
     theta *= 2.0;
   }
 
-  std::vector<std::uint8_t> leader = active;  // survivors become leaders
+  std::vector<std::uint8_t>& leader = active;  // survivors become leaders
   for (std::size_t v = 0; v < n; ++v) {
     if (leader[v]) result.part1_leaders.push_back(static_cast<NodeId>(v));
   }
 
   // ---- Part II: extend to a k-fold dominating set. ----
+  // cover[v] counts leaders in v's closed neighborhood; promotions bump it
+  // in place. The deficient set (non-leaders with cover < k; members need
+  // no coverage under the paper's Section-1 definition) only shrinks, so it
+  // is kept as a list that each iteration filters.
   const std::int32_t k = options.k;
-  auto coverage_of = [&](NodeId v) {
-    const auto vi = static_cast<std::size_t>(v);
-    std::int32_t c = leader[vi] ? 1 : 0;
-    for (NodeId w : g.neighbors(v)) {
-      c += leader[static_cast<std::size_t>(w)] ? 1 : 0;
+  std::vector<std::int32_t> cover(n, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (!leader[v]) continue;
+    ++cover[v];
+    for (NodeId w : g.neighbors(static_cast<NodeId>(v))) {
+      ++cover[static_cast<std::size_t>(w)];
     }
-    return c;
-  };
-
-  while (true) {
-    // Deficient = non-leader with coverage below k. (Members need no
-    // coverage under the paper's Section-1 definition.)
-    std::vector<std::uint8_t> deficient(n, 0);
-    bool any_deficient = false;
-    for (NodeId v = 0; v < g.n(); ++v) {
-      const auto vi = static_cast<std::size_t>(v);
-      if (!leader[vi] && coverage_of(v) < k) {
-        deficient[vi] = 1;
-        any_deficient = true;
-      }
+  }
+  std::vector<std::uint8_t> deficient(n, 0);
+  std::vector<NodeId> deficient_list;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (!leader[v] && cover[v] < k) {
+      deficient[v] = 1;
+      deficient_list.push_back(static_cast<NodeId>(v));
     }
-    if (!any_deficient) break;
+  }
+  // Scratch reused across iterations: leaders next to a deficient node
+  // (only they can promote), and this iteration's promotions. Both lists
+  // dedupe through `mark`; leaders and deficient nodes are disjoint.
+  std::vector<std::uint8_t> mark(n, 0);
+  std::vector<NodeId> selectors;
+  std::vector<NodeId> promoted;
 
+  while (!deficient_list.empty()) {
     // Each leader selects up to k lowest-id deficient closed neighbors and
     // promotes them — synchronously (all selections read this iteration's
-    // deficiency snapshot).
-    std::vector<std::uint8_t> promoted(n, 0);
-    bool any_promoted = false;
-    for (NodeId v = 0; v < g.n(); ++v) {
-      if (!leader[static_cast<std::size_t>(v)]) continue;
-      // Leaders select independently (a distributed leader cannot see other
-      // leaders' selections): the k lowest-id deficient neighbors each.
+    // deficiency snapshot). Leaders select independently (a distributed
+    // leader cannot see other leaders' selections).
+    selectors.clear();
+    for (NodeId u : deficient_list) {
+      for (NodeId v : g.neighbors(u)) {
+        const auto vi = static_cast<std::size_t>(v);
+        if (leader[vi] && !mark[vi]) {
+          mark[vi] = 1;
+          selectors.push_back(v);
+        }
+      }
+    }
+    promoted.clear();
+    for (NodeId v : selectors) {
+      mark[static_cast<std::size_t>(v)] = 0;
       std::int32_t budget = k;
       for (NodeId w : g.neighbors(v)) {  // ascending ids
         if (budget <= 0) break;
         const auto wi = static_cast<std::size_t>(w);
         if (deficient[wi]) {
-          promoted[wi] = 1;
-          any_promoted = true;
+          if (!mark[wi]) {
+            mark[wi] = 1;
+            promoted.push_back(w);
+          }
           --budget;
         }
       }
     }
-    if (!any_promoted) {
+    if (promoted.empty()) {
       // Every deficient node is isolated from all leaders — possible only
       // when its whole closed neighborhood is smaller than k (infeasible)
       // or it has no leader neighbor (cannot happen by Lemma 5.1).
       result.fully_satisfied = false;
       break;
     }
-    for (std::size_t v = 0; v < n; ++v) {
-      if (promoted[v]) leader[v] = 1;
+    for (NodeId p : promoted) {
+      const auto pi = static_cast<std::size_t>(p);
+      mark[pi] = 0;
+      leader[pi] = 1;
+      ++cover[pi];
+      for (NodeId w : g.neighbors(p)) ++cover[static_cast<std::size_t>(w)];
     }
+    std::erase_if(deficient_list, [&](NodeId u) {
+      const auto ui = static_cast<std::size_t>(u);
+      if (!leader[ui] && cover[ui] < k) return false;
+      deficient[ui] = 0;
+      return true;
+    });
     ++result.part2_iterations;
   }
 

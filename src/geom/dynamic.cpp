@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace ftc::geom {
 
@@ -19,9 +18,8 @@ DynamicUdg::DynamicUdg(const UnitDiskGraph& udg)
   for (NodeId v = 0; v < n(); ++v) grid_insert(v);
 }
 
-DynamicUdg::CellKey DynamicUdg::cell_of(const Point& p) const noexcept {
-  return {static_cast<std::int64_t>(std::floor(p.x / radius_)),
-          static_cast<std::int64_t>(std::floor(p.y / radius_))};
+DynamicUdg::CellKey DynamicUdg::cell_of(const Point& p) const {
+  return {cell_index(p.x, radius_), cell_index(p.y, radius_)};
 }
 
 void DynamicUdg::grid_insert(NodeId v) {
@@ -58,6 +56,7 @@ std::vector<NodeId> DynamicUdg::in_range(const Point& p,
 }
 
 NodeId DynamicUdg::node_join(Point p, EdgeDelta& delta) {
+  (void)cell_of(p);  // rejects p before any state changes
   const NodeId v = g_.add_node();
   pos_.push_back(p);
   active_.push_back(1);
@@ -78,6 +77,7 @@ void DynamicUdg::node_leave(NodeId v, EdgeDelta& delta) {
 }
 
 void DynamicUdg::node_move(NodeId v, Point p, EdgeDelta& delta) {
+  (void)cell_of(p);  // rejects p before any state changes
   if (!active(v)) return;
   grid_erase(v);
   pos_[static_cast<std::size_t>(v)] = p;

@@ -57,7 +57,9 @@ class DynamicUdg {
   [[nodiscard]] double radius() const noexcept { return radius_; }
 
   /// Adds a node at p, links it to every active node within radius, and
-  /// returns its id. All new edges land in `delta.added`.
+  /// returns its id. All new edges land in `delta.added`. Throws
+  /// std::invalid_argument, changing nothing, when p is not finite or off
+  /// the cell grid (cell_index); node_move does the same.
   graph::NodeId node_join(Point p, graph::EdgeDelta& delta);
 
   /// Deactivates v and removes its incident edges (into `delta.removed`).
@@ -91,7 +93,8 @@ class DynamicUdg {
     }
   };
 
-  [[nodiscard]] CellKey cell_of(const Point& p) const noexcept;
+  /// Throws std::invalid_argument for p off the grid (see cell_index).
+  [[nodiscard]] CellKey cell_of(const Point& p) const;
   void grid_insert(graph::NodeId v);
   void grid_erase(graph::NodeId v);
   /// Active nodes (other than `exclude`) within radius of p, ascending id.

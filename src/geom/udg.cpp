@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 #include <numbers>
@@ -13,17 +14,48 @@ namespace ftc::geom {
 using graph::Edge;
 using graph::NodeId;
 
-std::vector<NodeId> UnitDiskGraph::neighbors_within(NodeId v,
-                                                    double tau) const {
-  std::vector<NodeId> out;
-  const double tau_sq = tau * tau;
-  const Point pv = positions[static_cast<std::size_t>(v)];
-  for (NodeId w : graph.neighbors(v)) {
-    if (dist_sq(pv, positions[static_cast<std::size_t>(w)]) <= tau_sq) {
-      out.push_back(w);
+ProbeLists build_probe_lists(const UnitDiskGraph& udg, double tau) {
+  const auto n = static_cast<std::size_t>(udg.n());
+  ProbeLists lists;
+  lists.offsets.assign(n + 1, 0);
+  // Squared prefilter: dist = sqrt(dist_sq) is correctly rounded, so
+  // dist <= tau implies dist_sq <= tau²·(1 + 2^-50); the slack below is
+  // wider, so only the sqrt of a possible member is taken and no member
+  // is lost.
+  const double tau_sq_slack = tau * tau * (1.0 + 0x1p-40);
+  for (NodeId v = 0; v < udg.n(); ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    const Point pv = udg.positions[vi];
+    for (NodeId w : udg.graph.neighbors(v)) {
+      const double d_sq =
+          dist_sq(pv, udg.positions[static_cast<std::size_t>(w)]);
+      if (d_sq > tau_sq_slack) continue;
+      const double d = std::sqrt(d_sq);  // == dist(pv, pw)
+      if (d > tau) continue;
+      // Insertion into the (short) sorted list; neighbors arrive in
+      // ascending id, so equal distances keep ascending id.
+      lists.entries.push_back({d, w});
+      auto it = lists.entries.end() - 1;
+      const auto first = lists.entries.begin() +
+                         static_cast<std::ptrdiff_t>(lists.offsets[vi]);
+      for (; it != first && (it - 1)->dist > d; --it) *it = *(it - 1);
+      *it = {d, w};
     }
+    lists.offsets[vi + 1] = lists.entries.size();
   }
-  return out;
+  return lists;
+}
+
+std::int64_t cell_index(double coord, double radius) {
+  const double cell = std::floor(coord / radius);
+  if (!(std::fabs(cell) < 0x1p62)) {  // also catches NaN and ±inf
+    char buf[96];
+    std::snprintf(buf, sizeof(buf),
+                  "coordinate %.17g is not finite or off the cell grid",
+                  coord);
+    throw std::invalid_argument(buf);
+  }
+  return static_cast<std::int64_t>(cell);
 }
 
 UnitDiskGraph build_udg(std::vector<Point> points, double radius) {
@@ -50,8 +82,7 @@ UnitDiskGraph build_udg(std::vector<Point> points, double radius) {
   std::unordered_map<CellKey, std::vector<NodeId>, CellHash> cells;
   cells.reserve(static_cast<std::size_t>(n));
   auto cell_of = [radius](const Point& p) -> CellKey {
-    return {static_cast<std::int64_t>(std::floor(p.x / radius)),
-            static_cast<std::int64_t>(std::floor(p.y / radius))};
+    return {cell_index(p.x, radius), cell_index(p.y, radius)};
   };
   for (NodeId v = 0; v < n; ++v) {
     cells[cell_of(points[static_cast<std::size_t>(v)])].push_back(v);
@@ -163,7 +194,12 @@ UnitDiskGraph load_udg(const std::string& path) {
     }
     points.push_back(p);
   }
-  return build_udg(std::move(points), radius);
+  try {
+    return build_udg(std::move(points), radius);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("load_udg: " + std::string(e.what()) +
+                                " in " + path);
+  }
 }
 
 graph::Graph quasi_udg(const UnitDiskGraph& udg, double sever,

@@ -7,6 +7,8 @@
 // because Algorithm 3 assumes nodes can sense distances to their neighbors.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,17 +34,48 @@ struct UnitDiskGraph {
     return dist(positions[static_cast<std::size_t>(u)],
                 positions[static_cast<std::size_t>(v)]);
   }
-
-  /// Graph neighbors of v within distance tau — the paper's N_v(τ),
-  /// excluding v itself. Only correct for tau <= radius (which is all the
-  /// algorithms need: Algorithm 3 uses θ <= 1/2 <= radius).
-  [[nodiscard]] std::vector<graph::NodeId> neighbors_within(
-      graph::NodeId v, double tau) const;
 };
+
+/// Every node's graph neighbors within distance tau — the paper's N_v(τ),
+/// excluding v itself — sorted by ascending (distance, id) and stored
+/// CSR-style. For any θ <= tau, N_v(θ) is the prefix of v's list whose
+/// distance is <= θ, so one build serves every probe radius up to tau.
+/// Distances are dist(p_v, p_w), the value UnitDiskGraph::distance (and so
+/// a process's Context::distance_to) reports, which makes `dist <= θ` the
+/// exact predicate the distributed processes evaluate. Lists hold graph
+/// neighbors only, so they equal N_v(τ) for tau <= radius (Algorithm 3
+/// probes at θ <= 1/2 <= radius).
+struct ProbeLists {
+  struct Entry {
+    double dist;
+    graph::NodeId node;
+  };
+  /// n + 1 offsets: node v's list is entries[offsets[v], offsets[v + 1]).
+  std::vector<std::size_t> offsets;
+  std::vector<Entry> entries;
+
+  [[nodiscard]] std::span<const Entry> of(graph::NodeId v) const noexcept {
+    const auto i = static_cast<std::size_t>(v);
+    return {entries.data() + offsets[i], offsets[i + 1] - offsets[i]};
+  }
+};
+
+/// Builds the probe lists of `udg` for radius tau. O(n + m + Σ s_v²) for
+/// list lengths s_v (each list is insertion-sorted; at Algorithm 3's
+/// θ <= 1/2 a list holds about a quarter of a node's neighbors or fewer).
+[[nodiscard]] ProbeLists build_probe_lists(const UnitDiskGraph& udg,
+                                           double tau);
+
+/// Index floor(coord / radius) of the spatial-hash grid cell holding a
+/// coordinate (build_udg and DynamicUdg share the grid). Throws
+/// std::invalid_argument when coord is not finite or the index is not
+/// below 2^62 in magnitude, so the neighbor-cell index ±1 cannot overflow.
+[[nodiscard]] std::int64_t cell_index(double coord, double radius);
 
 /// Builds the unit disk graph over `points` with communication radius
 /// `radius`. Uses spatial grid hashing: O(n + m) expected for bounded
-/// densities.
+/// densities. Throws std::invalid_argument (see cell_index) on a
+/// coordinate that is not finite or lies off the cell grid.
 [[nodiscard]] UnitDiskGraph build_udg(std::vector<Point> points,
                                       double radius = 1.0);
 
@@ -81,7 +114,8 @@ struct UnitDiskGraph {
 void save_udg(const std::string& path, const UnitDiskGraph& udg);
 
 /// Loads a deployment saved by save_udg and rebuilds its graph.
-/// Throws std::runtime_error on malformed input.
+/// Throws std::runtime_error on malformed input, and std::invalid_argument
+/// naming the file on a coordinate build_udg rejects.
 [[nodiscard]] UnitDiskGraph load_udg(const std::string& path);
 
 /// "Quasi unit disk" radio graph: real propagation is not a clean disk

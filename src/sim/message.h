@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -82,10 +83,28 @@ struct Message {
 /// allows any polynomially bounded value).
 inline constexpr double kFixedPointScale = 1099511627776.0;  // 2^40
 
-/// Quantizes a non-negative real to a fixed-point word (round to nearest).
-[[nodiscard]] Word encode_fixed(double value) noexcept;
+/// Quantizes a real to a fixed-point word: std::llround(value · 2^40),
+/// i.e. round to nearest with ties away from zero. Inline and exact: the
+/// product is exact (a power-of-two scale), truncation to a word is exact
+/// below 2^62, and so is the fraction scaled − trunc(scaled), so the tie
+/// test sees the true remainder. Non-finite and |scaled| ≥ 2^62 inputs take
+/// the library call.
+[[nodiscard]] inline Word encode_fixed(double value) noexcept {
+  const double scaled = value * kFixedPointScale;
+  if (!(std::fabs(scaled) < 0x1p62)) {
+    return static_cast<Word>(std::llround(scaled));
+  }
+  const auto whole = static_cast<Word>(scaled);
+  const double frac = scaled - static_cast<double>(whole);
+  // Branch-free: the tie tests are data-dependent coin flips.
+  return whole + static_cast<Word>(frac >= 0.5) -
+         static_cast<Word>(frac <= -0.5);
+}
 
-/// Inverse of encode_fixed.
-[[nodiscard]] double decode_fixed(Word word) noexcept;
+/// Inverse of encode_fixed. Multiplying by the exact reciprocal 2^-40
+/// rounds exactly like dividing by 2^40.
+[[nodiscard]] inline double decode_fixed(Word word) noexcept {
+  return static_cast<double>(word) * 0x1p-40;
+}
 
 }  // namespace ftc::sim

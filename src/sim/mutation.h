@@ -119,7 +119,9 @@ class DynamicWorld {
   [[nodiscard]] graph::NodeId active_count() const noexcept;
 
   /// Applies one mutation (with defensive clamping) and reports the exact
-  /// edge delta.
+  /// edge delta. On a geometric world, a join or move to a position that
+  /// is not finite or off the cell grid throws std::invalid_argument and
+  /// leaves the world unchanged (geom::cell_index).
   AppliedMutation apply(const Mutation& m);
 
   /// Freezes the current adjacency into an immutable CSR Graph.

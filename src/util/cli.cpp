@@ -11,7 +11,9 @@ Args::Args(int argc, const char* const* argv) {
     if (arg.rfind("--", 0) == 0) {
       const auto eq = arg.find('=');
       if (eq == std::string::npos) {
-        values_[arg.substr(2)] = "1";
+        // Assigned from a std::string: GCC 12 raises a false -Wrestrict
+        // on the inlined assign(const char*) here.
+        values_[arg.substr(2)] = std::string("1");
       } else {
         values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
       }

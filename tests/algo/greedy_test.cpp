@@ -101,5 +101,69 @@ TEST(Greedy, EmptyGraph) {
   EXPECT_TRUE(result.set.empty());
 }
 
+// Brute-force oracle for greedy_kmds: every step rescans all unchosen
+// nodes, recounts each span from scratch, and picks argmax(span, -id).
+GreedyResult brute_force_greedy(const Graph& g,
+                                const domination::Demands& demands) {
+  std::vector<std::int32_t> residual(demands.begin(), demands.end());
+  std::vector<std::uint8_t> chosen(static_cast<std::size_t>(g.n()), 0);
+  GreedyResult result;
+  while (true) {
+    NodeId best = -1;
+    std::int32_t best_span = 0;
+    for (NodeId v = 0; v < g.n(); ++v) {
+      if (chosen[static_cast<std::size_t>(v)]) continue;
+      std::int32_t span = residual[static_cast<std::size_t>(v)] > 0 ? 1 : 0;
+      for (NodeId w : g.neighbors(v)) {
+        if (residual[static_cast<std::size_t>(w)] > 0) ++span;
+      }
+      if (span > best_span) {  // strict: the smaller id keeps a tie
+        best = v;
+        best_span = span;
+      }
+    }
+    if (best < 0) break;
+    chosen[static_cast<std::size_t>(best)] = 1;
+    ++result.steps;
+    --residual[static_cast<std::size_t>(best)];
+    for (NodeId w : g.neighbors(best)) --residual[static_cast<std::size_t>(w)];
+  }
+  for (NodeId v = 0; v < g.n(); ++v) {
+    if (chosen[static_cast<std::size_t>(v)]) result.set.push_back(v);
+    if (residual[static_cast<std::size_t>(v)] > 0) {
+      result.fully_satisfied = false;
+    }
+  }
+  return result;
+}
+
+TEST(Greedy, MatchesBruteForceOracle) {
+  util::Rng rng(13);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Random graphs with a tail of isolated nodes (ids past the last
+    // edge endpoint) and demands in [0, deg + 3]: zero, feasible, and
+    // above deg + 1 (infeasible).
+    const auto n = static_cast<NodeId>(rng.uniform_i64(0, 40));
+    const auto isolated = static_cast<NodeId>(rng.uniform_i64(0, 4));
+    const Graph sub = graph::gnp(n, rng.uniform(0.0, 0.4), rng);
+    const Graph g = Graph::from_edges(n + isolated, sub.edges());
+    domination::Demands d(static_cast<std::size_t>(g.n()));
+    const bool feasible = trial % 3 != 0;
+    for (NodeId v = 0; v < g.n(); ++v) {
+      const std::int64_t cap = g.degree(v) + (feasible ? 1 : 3);
+      d[static_cast<std::size_t>(v)] =
+          static_cast<std::int32_t>(rng.uniform_i64(0, cap));
+    }
+    const GreedyResult got = greedy_kmds(g, d);
+    const GreedyResult want = brute_force_greedy(g, d);
+    EXPECT_EQ(got.set, want.set) << "trial " << trial;
+    EXPECT_EQ(got.steps, want.steps) << "trial " << trial;
+    EXPECT_EQ(got.fully_satisfied, want.fully_satisfied) << "trial " << trial;
+    if (feasible) {
+      EXPECT_TRUE(got.fully_satisfied) << "trial " << trial;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ftc::algo

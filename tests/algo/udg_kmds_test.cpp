@@ -299,5 +299,62 @@ TEST(UdgKmds, ProcessMatchesMirrorWithNonDefaultParams) {
   EXPECT_EQ(leaders, mirror.leaders);
 }
 
+TEST(UdgKmds, MirrorMatchesProcessOnProbeBoundary) {
+  // Two nodes on the Part-I probe boundary: n < 4 runs one round at
+  // θ = 1/2, and the pair sits where the squared test dist² <= θ² and the
+  // process's dist <= θ give different answers. The mirror must follow the
+  // process: either both nodes see each other (one Part-I leader) or
+  // neither does (two).
+  ASSERT_EQ(udg_part1_rounds(2), 1);
+  const double theta = udg_initial_theta(2);
+  ASSERT_EQ(theta, 0.5);
+  const geom::Point p{0.0, 0.0};
+  std::vector<geom::Point> boundary;  // disagreeing points, both kinds
+  bool seen[2] = {false, false};
+  for (int i = 1; i < 10000 && !(seen[0] && seen[1]); ++i) {
+    const double a = 0.0001 * i;
+    const geom::Point on_circle{theta * std::cos(a), theta * std::sin(a)};
+    for (const double toward : {1.0, -1.0}) {  // walk x up, then down
+      geom::Point q = on_circle;
+      for (int ulp = 0; ulp < 3; ++ulp) {
+        const bool by_sqrt = geom::dist(p, q) <= theta;
+        if ((geom::dist_sq(p, q) <= theta * theta) != by_sqrt &&
+            !seen[by_sqrt]) {
+          seen[by_sqrt] = true;
+          boundary.push_back(q);
+        }
+        q.x = std::nextafter(q.x, toward);
+      }
+    }
+  }
+  ASSERT_FALSE(boundary.empty());
+  for (const geom::Point& q : boundary) {
+    const auto udg = geom::build_udg({p, q}, 1.0);
+    ASSERT_TRUE(udg.graph.has_edge(0, 1));
+    const std::size_t expected_part1 = udg.distance(0, 1) <= theta ? 1 : 2;
+    for (std::int32_t k : {1, 2}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        UdgOptions opts;
+        opts.k = k;
+        const auto mirror = solve_udg_kmds(udg, opts, seed);
+        EXPECT_EQ(mirror.part1_leaders.size(), expected_part1);
+
+        sim::SyncNetwork net(udg, seed);
+        net.set_all_processes(
+            [&](NodeId) { return std::make_unique<UdgKmdsProcess>(k); });
+        net.run(2 * udg_part1_rounds(udg.n()) + 3 * (udg.n() + 3));
+        std::vector<NodeId> leaders, part1;
+        for (NodeId v = 0; v < udg.n(); ++v) {
+          const auto& proc = net.process_as<UdgKmdsProcess>(v);
+          if (proc.leader()) leaders.push_back(v);
+          if (proc.part1_leader()) part1.push_back(v);
+        }
+        EXPECT_EQ(part1, mirror.part1_leaders) << "k " << k << " seed " << seed;
+        EXPECT_EQ(leaders, mirror.leaders) << "k " << k << " seed " << seed;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ftc::algo

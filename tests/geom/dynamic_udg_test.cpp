@@ -4,6 +4,8 @@
 // after every mutation, plus exact edge-delta accounting.
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,6 +58,28 @@ TEST(DynamicUdg, JoinLinksExactlyTheInRangeNodes) {
   const std::vector<Edge> expected{{0, 3}, {1, 3}};
   EXPECT_EQ(delta.added, expected);
   EXPECT_EQ(dyn.graph().edges(), brute_force_edges(dyn));
+}
+
+TEST(DynamicUdg, RejectsOffGridPositionsWithoutChangingState) {
+  const UnitDiskGraph udg = build_udg({{0.0, 0.0}, {0.9, 0.0}}, 1.0);
+  DynamicUdg dyn(udg);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Point bad : {Point{nan, 0.0}, Point{0.0, inf},
+                          Point{1e308, 0.0}, Point{0.0, -1e300}}) {
+    graph::EdgeDelta delta;
+    EXPECT_THROW((void)dyn.node_join(bad, delta), std::invalid_argument);
+    EXPECT_THROW(dyn.node_move(1, bad, delta), std::invalid_argument);
+    EXPECT_TRUE(delta.added.empty());
+    EXPECT_TRUE(delta.removed.empty());
+  }
+  EXPECT_EQ(dyn.n(), 2);
+  EXPECT_EQ(dyn.positions()[1], (Point{0.9, 0.0}));
+  EXPECT_EQ(dyn.graph().edges(), brute_force_edges(dyn));
+  // The grid is intact: a later valid move still finds its neighbors.
+  graph::EdgeDelta delta;
+  dyn.node_move(1, {0.0, 0.5}, delta);
+  EXPECT_EQ(dyn.graph().edges(), (std::vector<Edge>{{0, 1}}));
 }
 
 TEST(DynamicUdg, LeaveIsolatesAndStaysIsolated) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "graph/properties.h"
 
@@ -60,13 +64,49 @@ TEST(UnitDiskGraph, DistanceMatchesPoints) {
   EXPECT_NEAR(udg.distance(0, 1), 1.0, 1e-12);
 }
 
-TEST(UnitDiskGraph, NeighborsWithinFiltersByDistance) {
+std::vector<NodeId> probe_nodes(const ProbeLists& lists, NodeId v) {
+  std::vector<NodeId> out;
+  for (const ProbeLists::Entry& e : lists.of(v)) out.push_back(e.node);
+  return out;
+}
+
+TEST(ProbeLists, FilterByDistance) {
   const std::vector<Point> pts{{0, 0}, {0.2, 0}, {0.9, 0}, {3, 3}};
   const UnitDiskGraph udg = build_udg(pts, 1.0);
-  const auto close = udg.neighbors_within(0, 0.5);
-  EXPECT_EQ(close, (std::vector<NodeId>{1}));
-  const auto all = udg.neighbors_within(0, 1.0);
-  EXPECT_EQ(all, (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(probe_nodes(build_probe_lists(udg, 0.5), 0),
+            (std::vector<NodeId>{1}));
+  const ProbeLists all = build_probe_lists(udg, 1.0);
+  EXPECT_EQ(probe_nodes(all, 0), (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(probe_nodes(all, 2), (std::vector<NodeId>{1, 0}));
+  EXPECT_TRUE(all.of(3).empty());
+}
+
+TEST(ProbeLists, SortedByDistanceThenIdWithExactDistances) {
+  util::Rng rng(8);
+  const UnitDiskGraph udg = build_udg(uniform_points(300, 6.0, rng), 1.0);
+  const double tau = 0.45;
+  const ProbeLists lists = build_probe_lists(udg, tau);
+  ASSERT_EQ(lists.offsets.size(), static_cast<std::size_t>(udg.n()) + 1);
+  for (NodeId v = 0; v < udg.n(); ++v) {
+    // Exactly the graph neighbors within tau, by the `distance <= tau`
+    // predicate, in ascending (distance, id) order.
+    std::vector<NodeId> expected;
+    for (NodeId w : udg.graph.neighbors(v)) {
+      if (udg.distance(v, w) <= tau) expected.push_back(w);
+    }
+    std::vector<NodeId> got = probe_nodes(lists, v);
+    const auto list = lists.of(v);
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      EXPECT_EQ(list[i].dist, udg.distance(v, list[i].node));
+      if (i > 0) {
+        EXPECT_TRUE(list[i - 1].dist < list[i].dist ||
+                    (list[i - 1].dist == list[i].dist &&
+                     list[i - 1].node < list[i].node));
+      }
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << "node " << v;
+  }
 }
 
 TEST(UniformPoints, StayInSquare) {
@@ -182,6 +222,37 @@ TEST(UdgIo, RoundTripPreservesDeployment) {
   EXPECT_DOUBLE_EQ(loaded.radius, original.radius);
   EXPECT_EQ(loaded.positions, original.positions);
   EXPECT_EQ(loaded.graph.edges(), original.graph.edges());
+  std::remove(path.c_str());
+}
+
+TEST(BuildUdg, RejectsCoordinatesOffTheCellGrid) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Point bad : {Point{nan, 0.0}, Point{0.0, inf},
+                          Point{-inf, 0.0}, Point{1e308, 0.0},
+                          Point{0.0, -1e300}}) {
+    EXPECT_THROW((void)build_udg({{0.0, 0.0}, bad}, 1.0),
+                 std::invalid_argument);
+  }
+  // A finite coordinate whose cell index overflows at a tiny radius.
+  EXPECT_THROW((void)build_udg({{1e10, 0.0}}, 1e-300), std::invalid_argument);
+  // Just inside the 2^62 cell bound is accepted.
+  EXPECT_EQ(build_udg({{0x1p61, 0.0}, {0x1p61, 0.5}}, 1.0).graph.m(), 1);
+}
+
+TEST(UdgIo, LoadRejectsHugeCoordinateNamingTheFile) {
+  const std::string path = ::testing::TempDir() + "/ftc_udg_huge.udg";
+  {
+    std::ofstream out(path);
+    out << "2 1\n0 0\n1e308 0\n";
+  }
+  try {
+    (void)load_udg(path);
+    ADD_FAILURE() << "load_udg accepted a coordinate of 1e308";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 

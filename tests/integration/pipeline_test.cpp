@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "algo/baseline/greedy.h"
 #include "domination/bounds.h"
+#include "geom/udg.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -147,6 +149,35 @@ TEST(Pipeline, TinyGraphs) {
     const auto result = run_kmds_pipeline(g, d, opts);
     EXPECT_TRUE(domination::is_k_dominating(g, result.set(), d)) << n;
   }
+}
+
+TEST(Pipeline, HonorsHeterogeneousDemands) {
+  // Per-node demands on a UDG: nodes within 1.5 of the deployment's border
+  // (fewer neighbors, so they lose coverage first) demand 3, the interior
+  // 1, each clamped to deg + 1.
+  util::Rng rng(5);
+  const auto udg = geom::uniform_udg_with_degree(200, 14.0, rng);
+  double lo_x = udg.positions[0].x, hi_x = lo_x;
+  double lo_y = udg.positions[0].y, hi_y = lo_y;
+  for (const geom::Point& p : udg.positions) {
+    lo_x = std::min(lo_x, p.x);
+    hi_x = std::max(hi_x, p.x);
+    lo_y = std::min(lo_y, p.y);
+    hi_y = std::max(hi_y, p.y);
+  }
+  domination::Demands d(static_cast<std::size_t>(udg.n()));
+  for (NodeId v = 0; v < udg.n(); ++v) {
+    const geom::Point& p = udg.positions[static_cast<std::size_t>(v)];
+    const double margin = std::min(
+        {p.x - lo_x, hi_x - p.x, p.y - lo_y, hi_y - p.y});
+    d[static_cast<std::size_t>(v)] = margin <= 1.5 ? 3 : 1;
+  }
+  d = clamp_demands(udg.graph, d);
+  PipelineOptions opts;
+  opts.t = 3;
+  opts.seed = 5;
+  const auto pipe = run_kmds_pipeline(udg.graph, d, opts);
+  EXPECT_TRUE(domination::is_k_dominating(udg.graph, pipe.set(), d));
 }
 
 }  // namespace

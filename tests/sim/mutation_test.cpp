@@ -33,6 +33,21 @@ TEST(MutationTrace, SerializationRoundTripsExactly) {
                std::invalid_argument);  // unknown kind
 }
 
+TEST(DynamicWorld, TracedOffGridPositionIsRejectedAndChangesNothing) {
+  // parse_mutation_trace reads any double %lf accepts, so a trace can carry
+  // positions whose grid cell would overflow; apply must refuse them.
+  const MutationTrace trace =
+      parse_mutation_trace("0:2:1:-1:1e308:0;0:0:-1:-1:0:inf");
+  ASSERT_EQ(trace.size(), 2u);
+  DynamicWorld world(geom::build_udg({{0.0, 0.0}, {0.5, 0.0}}, 1.0));
+  const std::vector<graph::Edge> before = world.snapshot().edges();
+  for (const TimedMutation& t : trace) {
+    EXPECT_THROW((void)world.apply(t.m), std::invalid_argument);
+  }
+  EXPECT_EQ(world.n(), 2);
+  EXPECT_EQ(world.snapshot().edges(), before);
+}
+
 TEST(MutationKindNames, AreStable) {
   EXPECT_STREQ(mutation_kind_name(MutationKind::kJoin), "join");
   EXPECT_STREQ(mutation_kind_name(MutationKind::kLeave), "leave");
