@@ -7,6 +7,8 @@
 // UDG deployment) down both paths and reports
 //
 //   * mutations/sec for the incremental path (world delta + maintainer),
+//     and its heap allocations per mutation (bench/alloc_hooks; ≈0 in the
+//     steady state, since both layers reuse their buffers),
 //   * full re-solves/sec for the rebuild path (freeze + greedy_kmds),
 //   * re-clustered nodes per mutation for both: ball2 (nodes the
 //     maintainer re-examined) vs the active node count (nodes the re-solve
@@ -22,6 +24,9 @@
 // --k=2                  redundancy target
 // --mutations=400        single-mutation batches per size (quick: 120)
 // --resolves=40          full re-solves measured (they are the slow side)
+// --max-allocs-per-mut=X  exit nonzero when the incremental path allocates
+//                         more than X times per mutation at any size
+//                         (default -1 = no gate)
 // --json=BENCH_dynamic.json  machine-readable output ("" = none)
 #include <algorithm>
 #include <cstdint>
@@ -32,6 +37,7 @@
 
 #include "algo/baseline/greedy.h"
 #include "algo/extensions/maintainer.h"
+#include "alloc_hooks.h"
 #include "bench_common.h"
 #include "domination/domination.h"
 #include "geom/udg.h"
@@ -110,10 +116,12 @@ int main(int argc, char** argv) {
   const auto mutations =
       static_cast<int>(args.get_int("mutations", quick ? 120 : 400));
   const int resolves = static_cast<int>(args.get_int("resolves", 40));
+  const double max_allocs = args.get_double("max-allocs-per-mut", -1.0);
   const std::string json_path = args.get_string("json", "BENCH_dynamic.json");
 
-  bench::Output out({"n", "mutations", "inc_mut/sec", "resolve/sec",
-                     "speedup", "ball2/mut", "changed/mut", "ratio"},
+  bench::Output out({"n", "mutations", "inc_mut/sec", "allocs/mut",
+                     "resolve/sec", "speedup", "ball2/mut", "changed/mut",
+                     "ratio"},
                     args);
   std::vector<std::string> json_rows;
 
@@ -132,20 +140,32 @@ int main(int argc, char** argv) {
     util::Rng churn(kChurnSeed);
     std::int64_t sum_ball2 = 0;
     std::int64_t sum_changed = 0;
+    const std::uint64_t allocs_before = bench::alloc_counts().count;
     bench::WallClock inc_clock;
     for (int i = 0; i < mutations; ++i) {
       const sim::Mutation m = next_mutation(world, udg.radius, churn);
-      const sim::AppliedMutation am = world.apply(m);
+      const auto& am = world.apply(m);
       const algo::MaintainResult r =
           maintainer.apply_batch(world.graph(), world.active_flags(), {&am, 1});
       sum_ball2 += r.ball2;
       sum_changed += static_cast<std::int64_t>(r.changed.size());
-      require(r.fully_satisfied, "maintainer left a deficiency at n=" +
-                                     std::to_string(n) + " mutation " +
-                                     std::to_string(i));
+      if (!r.fully_satisfied) {  // the message allocates: build it only here
+        require(false, "maintainer left a deficiency at n=" +
+                           std::to_string(n) + " mutation " +
+                           std::to_string(i));
+      }
     }
     const double inc_seconds = inc_clock.seconds();
     const double inc_per_sec = mutations / inc_seconds;
+    // Includes the first batch, which sizes the scratch and counts every
+    // node's coverage once.
+    const double allocs_per_mut =
+        static_cast<double>(bench::alloc_counts().count - allocs_before) /
+        mutations;
+    require(max_allocs < 0.0 || allocs_per_mut <= max_allocs,
+            "incremental path made " + util::fmt(allocs_per_mut, 2) +
+                " allocations per mutation at n=" + std::to_string(n) +
+                ", above --max-allocs-per-mut=" + util::fmt(max_allocs, 2));
     require(domination::is_k_dominating(world.snapshot(),
                                         maintainer.member_set(),
                                         effective_demands(world, k)),
@@ -181,7 +201,8 @@ int main(int argc, char** argv) {
     const double speedup = inc_per_sec / full_per_sec;
 
     out.row({util::fmt(static_cast<long long>(n)), util::fmt(mutations),
-             util::fmt(inc_per_sec, 1), util::fmt(full_per_sec, 2),
+             util::fmt(inc_per_sec, 1), util::fmt(allocs_per_mut, 2),
+             util::fmt(full_per_sec, 2),
              util::fmt(speedup, 1), util::fmt(inc_reclustered, 1),
              util::fmt(changed_per_mut, 2), util::fmt(ratio, 1)});
     json_rows.push_back(
@@ -189,6 +210,7 @@ int main(int argc, char** argv) {
         ", \"mutations\": " + std::to_string(mutations) +
         ", \"full_resolves\": " + std::to_string(full_runs) +
         ", \"inc_mutations_per_sec\": " + util::fmt(inc_per_sec, 3) +
+        ", \"inc_allocs_per_mutation\": " + util::fmt(allocs_per_mut, 3) +
         ", \"full_resolves_per_sec\": " + util::fmt(full_per_sec, 3) +
         ", \"speedup_vs_resolve\": " + util::fmt(speedup, 3) +
         ", \"inc_reclustered_per_mutation\": " + util::fmt(inc_reclustered, 3) +

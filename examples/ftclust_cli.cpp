@@ -24,7 +24,11 @@
 //   --out=PATH            write the set, one node id per line
 //   --dot=PATH            write a Graphviz file with the set highlighted
 //   --svg=PATH            render the deployment (UDG generator only)
+//
+// Exit codes: 0 valid set, 1 invalid set, 2 bad usage or an input or
+// output that could not be processed (one-line message on stderr).
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -101,10 +105,7 @@ Network load_network(const util::Args& args) {
   return net;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   if (args.has("help")) {
     std::printf("see the header comment of examples/ftclust_cli.cpp\n");
     return 0;
@@ -246,4 +247,23 @@ int main(int argc, char** argv) {
     std::printf("svg written to %s\n", svg_path.c_str());
   }
   return valid ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const util::Args args(argc, argv);
+  try {
+    return run(args);
+  } catch (const std::exception& e) {
+    // Name the input file, if any: most failures are a malformed one.
+    std::string input = args.get_string("graph", "");
+    if (input.empty()) input = args.get_string("udg", "");
+    if (input.empty()) {
+      std::fprintf(stderr, "ftclust_cli: error: %s\n", e.what());
+    } else {
+      std::fprintf(stderr, "ftclust_cli: %s: %s\n", input.c_str(), e.what());
+    }
+    return 2;
+  }
 }

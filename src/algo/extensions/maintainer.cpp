@@ -18,6 +18,7 @@ IncrementalMaintainer::IncrementalMaintainer(
     assert(v >= 0 && v < n);
     member_[static_cast<std::size_t>(v)] = 1;
   }
+  for (std::uint8_t m : member_) members_ += m;
 }
 
 void IncrementalMaintainer::bind_plane(obs::Plane* plane) {
@@ -43,10 +44,39 @@ std::vector<NodeId> IncrementalMaintainer::member_set() const {
   return out;
 }
 
-std::int64_t IncrementalMaintainer::members() const noexcept {
-  std::int64_t count = 0;
-  for (std::uint8_t m : member_) count += m;
-  return count;
+void IncrementalMaintainer::update_cover(
+    const graph::MutableGraph& g, std::span<const sim::AppliedMutation> batch) {
+  if (!cover_ready_) {
+    for (NodeId v = 0; v < g.n(); ++v) {
+      std::int32_t c = member_[static_cast<std::size_t>(v)];
+      for (NodeId w : g.neighbors(v)) c += member_[static_cast<std::size_t>(w)];
+      cover_[static_cast<std::size_t>(v)] = c;
+    }
+    cover_ready_ = true;
+    return;
+  }
+  // Membership is fixed while the deltas replay, so their order is
+  // irrelevant: an edge added and removed within the batch cancels out.
+  auto link = [&](const Edge& e, std::int32_t sign) {
+    const auto u = static_cast<std::size_t>(e.u);
+    const auto v = static_cast<std::size_t>(e.v);
+    cover_[u] += sign * member_[v];
+    cover_[v] += sign * member_[u];
+  };
+  for (const sim::AppliedMutation& am : batch) {
+    for (const Edge& e : am.delta.added) link(e, 1);
+    for (const Edge& e : am.delta.removed) link(e, -1);
+  }
+}
+
+void IncrementalMaintainer::set_member(const graph::MutableGraph& g, NodeId v,
+                                       bool member) {
+  const std::int32_t sign = member ? 1 : -1;
+  member_[static_cast<std::size_t>(v)] = member ? 1 : 0;
+  members_ += sign;
+  cover_[static_cast<std::size_t>(v)] += sign;
+  for (NodeId w : g.neighbors(v)) cover_[static_cast<std::size_t>(w)] += sign;
+  changed_.push_back(v);
 }
 
 MaintainResult IncrementalMaintainer::apply_batch(
@@ -56,24 +86,24 @@ MaintainResult IncrementalMaintainer::apply_batch(
   assert(active.size() == n);
   assert(member_.size() <= n && "topologies only grow");
   member_.resize(n, 0);
-  seed_mark_.assign(n, 0);
-  ball_.assign(n, 0);
-  cover_.assign(n, 0);
-  promoted_now_.assign(n, 0);
+  cover_.resize(n, 0);
+  ball_.resize(n, 0);
+  promoted_now_.resize(n, 0);
+  update_cover(g, batch);
 
   MaintainResult result;
-  std::vector<NodeId> changed;
+  changed_.clear();
 
   // Seeds: everything a mutation named plus every delta-edge endpoint. A
   // departed node's former neighbors are delta endpoints, so coverage lost
-  // to the departure is rooted here.
-  std::vector<NodeId> seeds;
+  // to the departure is rooted here. They open ball1, marked 2.
+  ball1_.clear();
   auto add_seed = [&](NodeId v) {
     if (v < 0 || static_cast<std::size_t>(v) >= n) return;
-    auto& mark = seed_mark_[static_cast<std::size_t>(v)];
-    if (!mark) {
-      mark = 1;
-      seeds.push_back(v);
+    auto& mark = ball_[static_cast<std::size_t>(v)];
+    if (mark != 2) {
+      mark = 2;
+      ball1_.push_back(v);
     }
   };
   for (const sim::AppliedMutation& am : batch) {
@@ -88,50 +118,44 @@ MaintainResult IncrementalMaintainer::apply_batch(
       add_seed(e.v);
     }
   }
-  std::sort(seeds.begin(), seeds.end());
+  const std::size_t seed_count = ball1_.size();
 
   // Drop members that departed. Only seeds can have turned inactive: the
   // world deactivates nodes solely through leave mutations.
-  for (NodeId s : seeds) {
-    const auto si = static_cast<std::size_t>(s);
-    if (member_[si] && !active[si]) {
-      member_[si] = 0;
+  for (std::size_t i = 0; i < seed_count; ++i) {
+    const NodeId s = ball1_[i];
+    if (member_[static_cast<std::size_t>(s)] &&
+        !active[static_cast<std::size_t>(s)]) {
+      set_member(g, s, false);
       ++result.dropped;
-      changed.push_back(s);
     }
   }
 
   // ball1 = seeds + 1 hop (coverage can only have changed there);
   // ball2 = ball1 + 1 hop (where promotion candidates live). Both in the
   // post-mutation graph.
-  std::vector<NodeId> ball1;
-  for (NodeId s : seeds) {
-    ball_[static_cast<std::size_t>(s)] = 2;
-    ball1.push_back(s);
-  }
-  const std::size_t seed_count = ball1.size();
   for (std::size_t i = 0; i < seed_count; ++i) {
-    for (NodeId w : g.neighbors(ball1[i])) {
+    for (NodeId w : g.neighbors(ball1_[i])) {
       auto& mark = ball_[static_cast<std::size_t>(w)];
       if (mark != 2) {
         mark = 2;
-        ball1.push_back(w);
+        ball1_.push_back(w);
       }
     }
   }
-  std::vector<NodeId> ball2 = ball1;
-  for (std::size_t i = 0; i < ball1.size(); ++i) {
-    for (NodeId w : g.neighbors(ball1[i])) {
+  ball2_.assign(ball1_.begin(), ball1_.end());
+  for (NodeId v : ball1_) {
+    for (NodeId w : g.neighbors(v)) {
       auto& mark = ball_[static_cast<std::size_t>(w)];
       if (mark == 0) {
         mark = 1;
-        ball2.push_back(w);
+        ball2_.push_back(w);
       }
     }
   }
-  std::sort(ball1.begin(), ball1.end());
-  result.ball1 = static_cast<std::int64_t>(ball1.size());
-  result.ball2 = static_cast<std::int64_t>(ball2.size());
+  std::sort(ball1_.begin(), ball1_.end());
+  result.ball1 = static_cast<std::int64_t>(ball1_.size());
+  result.ball2 = static_cast<std::int64_t>(ball2_.size());
 
   // Effective demand: the clamp_demands convention, recomputed against the
   // current degree (a move can change what is satisfiable).
@@ -139,38 +163,30 @@ MaintainResult IncrementalMaintainer::apply_batch(
     if (!active[static_cast<std::size_t>(v)]) return 0;
     return std::min(options_.k, g.degree(v) + 1);
   };
-  // Honest closed-neighborhood coverage (O(deg) scan).
-  auto coverage_of = [&](NodeId v) -> std::int32_t {
-    std::int32_t c = member_[static_cast<std::size_t>(v)] ? 1 : 0;
-    for (NodeId w : g.neighbors(v)) c += member_[static_cast<std::size_t>(w)];
-    return c;
-  };
-  for (NodeId v : ball1) cover_[static_cast<std::size_t>(v)] = coverage_of(v);
-  // Residual demand, cached-cover fast path. Outside ball1 the pre-batch
-  // full-coverage invariant still holds, so the residual is 0 by
-  // construction — that is what confines the wave.
+  // Residual demand. Outside ball1 the pre-batch full-coverage invariant
+  // still holds, so the residual is 0 by construction — that is what
+  // confines the wave.
   auto residual_of = [&](NodeId v) -> std::int32_t {
     const auto vi = static_cast<std::size_t>(v);
     if (ball_[vi] != 2 || !active[vi]) return 0;
     return std::max(0, eff_demand(v) - cover_[vi]);
   };
 
-  // Promotion wave: same greedy as repair_after_failures — promote the
-  // closed neighbor spanning the most deficient nodes, ties toward the
-  // smaller id, re-examining only N[best].
-  std::set<NodeId> deficient;
-  for (NodeId v : ball1) {
-    if (residual_of(v) > 0) deficient.insert(v);
-  }
+  // Promotion wave: same greedy as repair_after_failures — serve the
+  // smallest deficient id first by promoting the closed neighbor spanning
+  // the most deficient nodes, ties toward the smaller id. Deficient nodes
+  // all lie in ball1, and a residual only falls during the wave, so one
+  // ascending scan of ball1 visits them in exactly that order.
   if (!options_.promote) {
     // Mutant-harness mode: report the deficiency but leave it unrepaired.
-    result.fully_satisfied = deficient.empty();
-    deficient.clear();
+    result.fully_satisfied = std::none_of(
+        ball1_.begin(), ball1_.end(),
+        [&](NodeId v) { return residual_of(v) > 0; });
   }
-  while (!deficient.empty()) {
-    const NodeId v = *deficient.begin();
+  for (std::size_t i = 0; options_.promote && i < ball1_.size();) {
+    const NodeId v = ball1_[i];
     if (residual_of(v) <= 0) {
-      deficient.erase(deficient.begin());
+      ++i;
       continue;
     }
     NodeId best = -1;
@@ -195,25 +211,12 @@ MaintainResult IncrementalMaintainer::apply_batch(
       // non-member in its closed neighborhood); defensive parity with the
       // repair oracle.
       result.fully_satisfied = false;
-      deficient.erase(deficient.begin());
+      ++i;
       continue;
     }
-
-    member_[static_cast<std::size_t>(best)] = 1;
+    set_member(g, best, true);
     promoted_now_[static_cast<std::size_t>(best)] = 1;
     ++result.promoted;
-    changed.push_back(best);
-    auto reexamine = [&](NodeId u) {
-      const auto ui = static_cast<std::size_t>(u);
-      if (ball_[ui] == 2) ++cover_[ui];
-      if (residual_of(u) <= 0) {
-        deficient.erase(u);
-      } else {
-        deficient.insert(u);
-      }
-    };
-    reexamine(best);
-    for (NodeId w : g.neighbors(best)) reexamine(w);
   }
 
   // Demotion wave: release members the batch made redundant (a join or a
@@ -222,32 +225,31 @@ MaintainResult IncrementalMaintainer::apply_batch(
   // demand without it. Freshly-promoted nodes are exempt — promoting and
   // demoting the same node in one batch would thrash.
   if (options_.demote) {
-    for (NodeId v : ball1) {
+    auto still_covered = [&](NodeId w) {
+      if (!active[static_cast<std::size_t>(w)]) return true;
+      return cover_[static_cast<std::size_t>(w)] - 1 >= eff_demand(w);
+    };
+    for (NodeId v : ball1_) {
       const auto vi = static_cast<std::size_t>(v);
       if (!member_[vi] || !active[vi] || promoted_now_[vi]) continue;
-      auto still_covered = [&](NodeId w) {
-        if (!active[static_cast<std::size_t>(w)]) return true;
-        return coverage_of(w) - 1 >= eff_demand(w);
-      };
-      bool removable = still_covered(v);
-      if (removable) {
-        for (NodeId w : g.neighbors(v)) {
-          if (!still_covered(w)) {
-            removable = false;
-            break;
-          }
-        }
+      if (!still_covered(v) ||
+          !std::all_of(g.neighbors(v).begin(), g.neighbors(v).end(),
+                       still_covered)) {
+        continue;
       }
-      if (!removable) continue;
-      member_[vi] = 0;
+      set_member(g, v, false);
       ++result.demoted;
-      changed.push_back(v);
     }
   }
 
-  std::sort(changed.begin(), changed.end());
-  changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
-  result.changed = std::move(changed);
+  // Leave the scratch all-zero for the next batch.
+  for (NodeId v : ball2_) ball_[static_cast<std::size_t>(v)] = 0;
+  for (NodeId v : changed_) promoted_now_[static_cast<std::size_t>(v)] = 0;
+
+  std::sort(changed_.begin(), changed_.end());
+  changed_.erase(std::unique(changed_.begin(), changed_.end()),
+                 changed_.end());
+  result.changed.assign(changed_.begin(), changed_.end());
 
   ++batches_;
   total_promoted_ += result.promoted;

@@ -9,6 +9,18 @@
 // every node's decision; the maintainer's work (and its membership churn)
 // scales with the damage, not with n. bench_dynamic measures the gap.
 //
+// Cost: the work also scales with the damage in time. One batch costs
+// O(Σ deg over ball2 + |delta|) with no O(n) term: scratch arrays grow
+// with n but only the entries a batch touched are reset, and the closed
+// coverage count of every node, cover(v) = [v member] + #members in N(v),
+// persists across batches. The first batch initializes the counts from
+// the graph (O(n + m), once); after that each batch updates them from its
+// EdgeDeltas and from every drop, promotion and demotion, so the audit is
+// O(1) per node and the demotion test O(deg) per member. Precondition for
+// the counts: after the first batch, each batch must carry exactly the
+// AppliedMutations that turned the previous batch's graph into `g` (no
+// mutation skipped or replayed), or the counts drift from the graph.
+//
 // Contract (the DynamicOracle checks every clause per fuzzed trace):
 //   * k-coverage: if membership fully covered the effective demands before
 //     the batch, it fully covers them after. Effective demand of an active
@@ -24,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -77,7 +88,8 @@ class IncrementalMaintainer {
   void bind_plane(obs::Plane* plane);
 
   /// Applies one mutation batch. `g`/`active` must be the post-mutation
-  /// world state; `batch` the AppliedMutations that produced it.
+  /// world state; `batch` the AppliedMutations that produced it from the
+  /// state of the previous call (see the precondition above).
   MaintainResult apply_batch(const graph::MutableGraph& g,
                              std::span<const std::uint8_t> active,
                              std::span<const sim::AppliedMutation> batch);
@@ -95,7 +107,7 @@ class IncrementalMaintainer {
   /// Member ids, ascending.
   [[nodiscard]] std::vector<graph::NodeId> member_set() const;
 
-  [[nodiscard]] std::int64_t members() const noexcept;
+  [[nodiscard]] std::int64_t members() const noexcept { return members_; }
 
   [[nodiscard]] const MaintainerOptions& options() const noexcept {
     return options_;
@@ -112,9 +124,20 @@ class IncrementalMaintainer {
 
  private:
   void publish(const MaintainResult& result, std::size_t mutations);
+  /// Brings cover_ to the post-mutation graph: a full count on the first
+  /// batch, the batch's edge deltas after that.
+  void update_cover(const graph::MutableGraph& g,
+                    std::span<const sim::AppliedMutation> batch);
+  /// Sets v's membership to `member` and moves the counts of N[v].
+  void set_member(const graph::MutableGraph& g, graph::NodeId v, bool member);
 
   MaintainerOptions options_;
   std::vector<std::uint8_t> member_;
+  std::int64_t members_ = 0;  ///< count of member_ bytes set
+  /// Closed coverage count per node (see the file header); valid once
+  /// cover_ready_.
+  std::vector<std::int32_t> cover_;
+  bool cover_ready_ = false;
 
   std::int64_t batches_ = 0;
   std::int64_t total_promoted_ = 0;
@@ -130,11 +153,13 @@ class IncrementalMaintainer {
   obs::MetricId ball_hist_id_ = obs::kInvalidMetric;
   obs::MetricId changed_hist_id_ = obs::kInvalidMetric;
 
-  // Scratch reused across batches (sized to n on entry).
-  std::vector<std::uint8_t> seed_mark_;
+  // Scratch reused across batches. The per-node arrays grow to n and are
+  // all zero between batches: a batch resets only the entries it touched.
   std::vector<std::uint8_t> ball_;  ///< 0 = outside, 1 = ball2, 2 = ball1
-  std::vector<std::int32_t> cover_;
   std::vector<std::uint8_t> promoted_now_;
+  std::vector<graph::NodeId> ball1_;  ///< seeds first, then sorted
+  std::vector<graph::NodeId> ball2_;
+  std::vector<graph::NodeId> changed_;
 };
 
 }  // namespace ftc::algo

@@ -31,12 +31,11 @@ void DynamicUdg::grid_erase(NodeId v) {
   assert(it != cells_.end());
   auto& bucket = it->second;
   bucket.erase(std::find(bucket.begin(), bucket.end(), v));
-  if (bucket.empty()) cells_.erase(it);
 }
 
-std::vector<NodeId> DynamicUdg::in_range(const Point& p,
-                                         NodeId exclude) const {
-  std::vector<NodeId> out;
+void DynamicUdg::in_range(const Point& p, NodeId exclude) {
+  std::vector<NodeId>& out = range_;
+  out.clear();
   const CellKey base = cell_of(p);
   const double r_sq = radius_ * radius_;
   for (std::int64_t dx = -1; dx <= 1; ++dx) {
@@ -52,15 +51,15 @@ std::vector<NodeId> DynamicUdg::in_range(const Point& p,
     }
   }
   std::sort(out.begin(), out.end());
-  return out;
 }
 
 NodeId DynamicUdg::node_join(Point p, EdgeDelta& delta) {
   (void)cell_of(p);  // rejects p before any state changes
-  const NodeId v = g_.add_node();
+  in_range(p, n());  // the new id is in no bucket yet
+  const NodeId v = g_.add_node(range_.size());
   pos_.push_back(p);
   active_.push_back(1);
-  for (NodeId w : in_range(p, v)) {
+  for (NodeId w : range_) {
     g_.add_edge(v, w);
     delta.added.push_back(w < v ? graph::Edge{w, v} : graph::Edge{v, w});
   }
@@ -72,8 +71,7 @@ void DynamicUdg::node_leave(NodeId v, EdgeDelta& delta) {
   if (!active(v)) return;
   grid_erase(v);
   active_[static_cast<std::size_t>(v)] = 0;
-  auto removed = g_.isolate(v);
-  delta.removed.insert(delta.removed.end(), removed.begin(), removed.end());
+  g_.isolate_into(v, delta.removed);
 }
 
 void DynamicUdg::node_move(NodeId v, Point p, EdgeDelta& delta) {
@@ -82,14 +80,15 @@ void DynamicUdg::node_move(NodeId v, Point p, EdgeDelta& delta) {
   grid_erase(v);
   pos_[static_cast<std::size_t>(v)] = p;
   grid_insert(v);
-  const std::vector<NodeId> now = in_range(p, v);
+  in_range(p, v);
+  const std::vector<NodeId>& now = range_;
   // Diff against the current (sorted) adjacency; both lists ascending.
   const auto old_span = g_.neighbors(v);
-  const std::vector<NodeId> old(old_span.begin(), old_span.end());
+  old_nbrs_.assign(old_span.begin(), old_span.end());
   auto make = [v](NodeId w) {
     return w < v ? graph::Edge{w, v} : graph::Edge{v, w};
   };
-  for (NodeId w : old) {
+  for (NodeId w : old_nbrs_) {
     if (!std::binary_search(now.begin(), now.end(), w)) {
       g_.remove_edge(v, w);
       delta.removed.push_back(make(w));

@@ -8,6 +8,10 @@
 // mutation touches only the mutated node's geometric neighborhood: expected
 // O(local density) per operation for bounded densities.
 //
+// The steady state allocates nothing: in_range and node_move's copy of the
+// old neighbor list use member scratch, and a grid bucket that empties
+// keeps its map entry and its capacity for the next node to arrive.
+//
 // Conventions shared with the rest of the repo:
 //   - Departed nodes keep their id and become isolated (the
 //     Graph::without_nodes / crash convention); ids are never reused.
@@ -97,15 +101,19 @@ class DynamicUdg {
   [[nodiscard]] CellKey cell_of(const Point& p) const;
   void grid_insert(graph::NodeId v);
   void grid_erase(graph::NodeId v);
-  /// Active nodes (other than `exclude`) within radius of p, ascending id.
-  [[nodiscard]] std::vector<graph::NodeId> in_range(
-      const Point& p, graph::NodeId exclude) const;
+  /// Fills range_ with the active nodes (other than `exclude`) within
+  /// radius of p, ascending id.
+  void in_range(const Point& p, graph::NodeId exclude);
 
   graph::MutableGraph g_;
   std::vector<Point> pos_;
   std::vector<std::uint8_t> active_;
   double radius_ = 1.0;
   std::unordered_map<CellKey, std::vector<graph::NodeId>, CellHash> cells_;
+
+  // Scratch reused across mutations.
+  std::vector<graph::NodeId> range_;     ///< in_range output
+  std::vector<graph::NodeId> old_nbrs_;  ///< node_move's pre-move list
 };
 
 }  // namespace ftc::geom

@@ -17,13 +17,15 @@ MutableGraph::MutableGraph(const Graph& g) {
   adj_.resize(static_cast<std::size_t>(g.n()));
   for (NodeId v = 0; v < g.n(); ++v) {
     const auto nbrs = g.neighbors(v);
-    adj_[static_cast<std::size_t>(v)].assign(nbrs.begin(), nbrs.end());
+    auto& list = adj_[static_cast<std::size_t>(v)];
+    list.reserve(nbrs.size() + kNeighborHeadroom);
+    list.assign(nbrs.begin(), nbrs.end());
   }
   arcs_ = 2 * g.m();
 }
 
-NodeId MutableGraph::add_node() {
-  adj_.emplace_back();
+NodeId MutableGraph::add_node(std::size_t expected_degree) {
+  adj_.emplace_back().reserve(expected_degree + kNeighborHeadroom);
   return static_cast<NodeId>(adj_.size() - 1);
 }
 
@@ -59,19 +61,16 @@ bool MutableGraph::remove_edge(NodeId u, NodeId v) {
   return true;
 }
 
-std::vector<Edge> MutableGraph::isolate(NodeId v) {
+void MutableGraph::isolate_into(NodeId v, std::vector<Edge>& out) {
   assert(v >= 0 && v < n());
   auto& nbrs = adj_[static_cast<std::size_t>(v)];
-  std::vector<Edge> removed;
-  removed.reserve(nbrs.size());
   for (NodeId w : nbrs) {
-    removed.push_back(v < w ? Edge{v, w} : Edge{w, v});
+    out.push_back(v < w ? Edge{v, w} : Edge{w, v});
     auto& nw = adj_[static_cast<std::size_t>(w)];
     nw.erase(std::lower_bound(nw.begin(), nw.end(), v));
   }
   arcs_ -= 2 * nbrs.size();
   nbrs.clear();
-  return removed;
 }
 
 std::vector<Edge> MutableGraph::edges() const {

@@ -7,6 +7,11 @@
 // O(deg) edge insertion/removal while preserving Graph's invariants
 // (simple, undirected, sorted neighbor lists, ids dense in [0, n)).
 //
+// Steady-state churn does not reallocate: a thawed node's list and a joined
+// node's list start with kNeighborHeadroom spare slots, and a list keeps
+// its capacity when edges leave it, so add_edge allocates only when a
+// node's degree outgrows every degree it has had plus the headroom.
+//
 // to_graph() freezes the current adjacency back into a CSR Graph, and the
 // rebuild is guaranteed equivalent to Graph::from_edges over the same edge
 // set — the PackedAdjacency round-trip tests pin that contract.
@@ -50,15 +55,19 @@ class MutableGraph {
  public:
   MutableGraph() = default;
 
-  /// Thaws an immutable Graph (copies its adjacency).
+  /// Spare neighbor-list slots a thawed or joined node starts with.
+  static constexpr std::size_t kNeighborHeadroom = 4;
+
+  /// Thaws an immutable Graph (copies its adjacency, with headroom).
   explicit MutableGraph(const Graph& g);
 
   [[nodiscard]] NodeId n() const noexcept {
     return static_cast<NodeId>(adj_.size());
   }
 
-  /// Appends a new isolated node and returns its id (= previous n()).
-  NodeId add_node();
+  /// Appends a new isolated node and returns its id (= previous n()). Its
+  /// list is reserved for `expected_degree` neighbors plus headroom.
+  NodeId add_node(std::size_t expected_degree = 0);
 
   [[nodiscard]] NodeId degree(NodeId v) const noexcept {
     return static_cast<NodeId>(adj_[static_cast<std::size_t>(v)].size());
@@ -82,10 +91,10 @@ class MutableGraph {
   /// Removes {u, v}. Returns false (no-op) when the edge is absent.
   bool remove_edge(NodeId u, NodeId v);
 
-  /// Removes every edge incident to v and returns them (u < v, ascending by
-  /// the far endpoint). The node keeps its id — the same isolated-node
-  /// convention as Graph::without_nodes.
-  std::vector<Edge> isolate(NodeId v);
+  /// Removes every edge incident to v and appends them to `out` (u < v,
+  /// ascending by the far endpoint). The node keeps its id — the same
+  /// isolated-node convention as Graph::without_nodes.
+  void isolate_into(NodeId v, std::vector<Edge>& out);
 
   /// Directed arc count 2m.
   [[nodiscard]] std::size_t arcs() const noexcept { return arcs_; }

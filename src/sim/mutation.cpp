@@ -70,11 +70,25 @@ MutationTrace parse_mutation_trace(const std::string& text) {
   return trace;
 }
 
+namespace {
+
+/// Capacity the reused delta vectors start with, so a typical mutation's
+/// delta never grows them.
+constexpr std::size_t kDeltaReserve = 64;
+
+}  // namespace
+
 DynamicWorld::DynamicWorld(const geom::UnitDiskGraph& udg)
-    : udg_(std::make_unique<geom::DynamicUdg>(udg)) {}
+    : udg_(std::make_unique<geom::DynamicUdg>(udg)) {
+  applied_.delta.added.reserve(kDeltaReserve);
+  applied_.delta.removed.reserve(kDeltaReserve);
+}
 
 DynamicWorld::DynamicWorld(const graph::Graph& g)
-    : plain_(g), active_(static_cast<std::size_t>(g.n()), 1) {}
+    : plain_(g), active_(static_cast<std::size_t>(g.n()), 1) {
+  applied_.delta.added.reserve(kDeltaReserve);
+  applied_.delta.removed.reserve(kDeltaReserve);
+}
 
 bool DynamicWorld::active(NodeId v) const noexcept {
   if (udg_) return udg_->active(v);
@@ -88,10 +102,13 @@ NodeId DynamicWorld::active_count() const noexcept {
   return count;
 }
 
-AppliedMutation DynamicWorld::apply(const Mutation& m) {
-  AppliedMutation out;
+const AppliedMutation& DynamicWorld::apply(const Mutation& m) {
+  AppliedMutation& out = applied_;
   out.m = m;
+  out.applied = false;
   EdgeDelta& delta = out.delta;
+  delta.added.clear();
+  delta.removed.clear();
   auto norm = [](NodeId a, NodeId b) {
     return a < b ? Edge{a, b} : Edge{b, a};
   };
@@ -121,7 +138,9 @@ AppliedMutation DynamicWorld::apply(const Mutation& m) {
 
   switch (m.kind) {
     case MutationKind::kJoin: {
-      const NodeId v = plain_.add_node();
+      const NodeId v = plain_.add_node(
+          active(m.peer) ? static_cast<std::size_t>(plain_.degree(m.peer)) + 1
+                         : 0);
       active_.push_back(1);
       out.m.node = v;
       // Anchor to the peer's closed neighborhood when the peer is usable;
@@ -133,8 +152,8 @@ AppliedMutation DynamicWorld::apply(const Mutation& m) {
         // The peer's list was captured before v linked in, so iterate a
         // copy: add_edge(v, w) never touches peer's other neighbors.
         const auto nbrs = plain_.neighbors(m.peer);
-        const std::vector<NodeId> anchor(nbrs.begin(), nbrs.end());
-        for (NodeId w : anchor) {
+        anchor_.assign(nbrs.begin(), nbrs.end());
+        for (NodeId w : anchor_) {
           if (w == v) continue;
           if (plain_.add_edge(v, w)) delta.added.push_back(norm(v, w));
         }
@@ -145,7 +164,7 @@ AppliedMutation DynamicWorld::apply(const Mutation& m) {
     case MutationKind::kLeave:
       if (!active(m.node)) break;
       active_[static_cast<std::size_t>(m.node)] = 0;
-      for (const Edge& e : plain_.isolate(m.node)) delta.removed.push_back(e);
+      plain_.isolate_into(m.node, delta.removed);
       out.applied = true;
       break;
     case MutationKind::kMove:
@@ -153,13 +172,13 @@ AppliedMutation DynamicWorld::apply(const Mutation& m) {
       // an unusable peer degrades to plain isolation — the node "moved out
       // of range of everyone".
       if (!active(m.node)) break;
-      for (const Edge& e : plain_.isolate(m.node)) delta.removed.push_back(e);
+      plain_.isolate_into(m.node, delta.removed);
       if (active(m.peer) && m.peer != m.node) {
         plain_.add_edge(m.node, m.peer);
         delta.added.push_back(norm(m.node, m.peer));
         const auto nbrs = plain_.neighbors(m.peer);
-        const std::vector<NodeId> anchor(nbrs.begin(), nbrs.end());
-        for (NodeId w : anchor) {
+        anchor_.assign(nbrs.begin(), nbrs.end());
+        for (NodeId w : anchor_) {
           if (w == m.node) continue;
           if (plain_.add_edge(m.node, w)) delta.added.push_back(norm(m.node, w));
         }

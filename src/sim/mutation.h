@@ -119,10 +119,14 @@ class DynamicWorld {
   [[nodiscard]] graph::NodeId active_count() const noexcept;
 
   /// Applies one mutation (with defensive clamping) and reports the exact
-  /// edge delta. On a geometric world, a join or move to a position that
-  /// is not finite or off the cell grid throws std::invalid_argument and
-  /// leaves the world unchanged (geom::cell_index).
-  AppliedMutation apply(const Mutation& m);
+  /// edge delta. The result lives in a buffer the world reuses: the
+  /// reference stays valid until the next apply() (or the world's
+  /// destruction), so a caller that keeps it longer copies it. Reusing
+  /// the buffer's capacity keeps steady-state churn allocation-free. On a
+  /// geometric world, a join or move to a position that is not finite or
+  /// off the cell grid throws std::invalid_argument and leaves the world
+  /// unchanged (geom::cell_index).
+  const AppliedMutation& apply(const Mutation& m);
 
   /// Freezes the current adjacency into an immutable CSR Graph.
   [[nodiscard]] graph::Graph snapshot() const { return graph().to_graph(); }
@@ -131,6 +135,8 @@ class DynamicWorld {
   std::unique_ptr<geom::DynamicUdg> udg_;  ///< geometric mode only
   graph::MutableGraph plain_;              ///< combinatorial mode only
   std::vector<std::uint8_t> active_;       ///< combinatorial mode only
+  AppliedMutation applied_;                ///< what apply() returns
+  std::vector<graph::NodeId> anchor_;      ///< copy of N(peer) (plain mode)
 };
 
 }  // namespace ftc::sim

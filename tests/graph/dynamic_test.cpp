@@ -60,19 +60,21 @@ TEST(MutableGraph, AddRemoveEdgeMatchesSortedInvariant) {
   EXPECT_FALSE(mg.has_edge(0, 1));
 }
 
-TEST(MutableGraph, IsolateReturnsIncidentEdgesAscending) {
+TEST(MutableGraph, IsolateAppendsIncidentEdgesAscending) {
   MutableGraph mg;
   for (int i = 0; i < 6; ++i) mg.add_node();
   mg.add_edge(2, 5);
   mg.add_edge(2, 0);
   mg.add_edge(2, 4);
   mg.add_edge(1, 3);
-  const std::vector<Edge> removed = mg.isolate(2);
-  const std::vector<Edge> expected{{0, 2}, {2, 4}, {2, 5}};
+  std::vector<Edge> removed{{7, 8}};  // appended to, never cleared
+  mg.isolate_into(2, removed);
+  const std::vector<Edge> expected{{7, 8}, {0, 2}, {2, 4}, {2, 5}};
   EXPECT_EQ(removed, expected);
   EXPECT_EQ(mg.degree(2), 0);
   EXPECT_EQ(mg.m(), 1u);        // {1,3} untouched
-  EXPECT_TRUE(mg.isolate(2).empty());  // idempotent
+  mg.isolate_into(2, removed);  // idempotent
+  EXPECT_EQ(removed, expected);
 }
 
 // Differential: a random mutation sequence applied to MutableGraph must
