@@ -15,7 +15,7 @@
 //   * rounding:   steady-state best-of trial loop, recording trials/sec and
 //                 allocs/trial (≈ 0 once scratch reaches high water).
 //
-// Equality is asserted inline, bench_simcore_mt-style: any divergence
+// Equality is asserted inline, bench_flood-style: any divergence
 // between an optimized path and its reference aborts the bench with a
 // nonzero exit, so a perf number can never be reported for wrong output.
 //

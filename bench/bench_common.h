@@ -18,7 +18,6 @@
 #endif
 
 #include "alloc_hooks.h"
-#include "obs/metrics.h"
 #include "obs/perf.h"
 #include "util/cli.h"
 #include "util/csv.h"
@@ -109,58 +108,6 @@ inline util::Summary over_seeds(
   }
   return util::summarize(samples);
 }
-
-/// Per-row metric columns sourced from an obs::Registry. Construct with the
-/// registry and the metric names to surface; headers() appends one column
-/// per resolved name, and cells() appends the matching values — counters
-/// report the delta since the previous cells() call (so a row covering R
-/// rounds divides out to a per-round rate), gauges report their current
-/// value. Unknown names resolve to a "-" column instead of failing, so
-/// tables stay stable across planes with different instrumentation.
-class MetricColumns {
- public:
-  MetricColumns(const obs::Registry* registry, std::vector<std::string> names)
-      : registry_(registry), names_(std::move(names)) {
-    last_.assign(names_.size(), 0);
-  }
-
-  /// Re-points the columns at another registry (nullptr = emit "-") and
-  /// restarts the counter deltas.
-  void attach(const obs::Registry* registry) {
-    registry_ = registry;
-    last_.assign(names_.size(), 0);
-  }
-
-  [[nodiscard]] std::vector<std::string> headers(
-      std::vector<std::string> base) const {
-    for (const std::string& name : names_) base.push_back(name);
-    return base;
-  }
-
-  void cells(std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < names_.size(); ++i) {
-      const obs::MetricId id =
-          registry_ != nullptr ? registry_->find(names_[i]) : obs::kInvalidMetric;
-      if (id == obs::kInvalidMetric ||
-          registry_->kind(id) == obs::MetricKind::kHistogram) {
-        row.push_back("-");
-        continue;
-      }
-      const std::int64_t now = registry_->value(id);
-      if (registry_->kind(id) == obs::MetricKind::kCounter) {
-        row.push_back(util::fmt(static_cast<long long>(now - last_[i])));
-        last_[i] = now;
-      } else {
-        row.push_back(util::fmt(static_cast<long long>(now)));
-      }
-    }
-  }
-
- private:
-  const obs::Registry* registry_;
-  std::vector<std::string> names_;
-  std::vector<std::int64_t> last_;
-};
 
 /// Emits the table to stdout and, when the writer is open, mirrors every
 /// data row into the CSV (the caller writes rows into both).

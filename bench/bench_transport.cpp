@@ -1,13 +1,8 @@
-// P9 — Unreliable-channel runtime overhead and the price of reliability.
+// P9 — The price of reliability.
 //
-// Three questions, one flood/pump workload family:
+// Two questions, one flood/pump workload family (the cost of a clean
+// channel runtime at loss = 0 is bench_flood's 'channel' mode):
 //
-//   * What does the channel runtime cost at loss = 0? The acceptance
-//     number: the same raw workload with a clean channel installed must
-//     hold >= 95% of the plain reliable-plane rounds/sec. The engine
-//     hoists a single impaired() check per round, so installing the
-//     impairment machinery may not tax an unimpaired deployment by more
-//     than 5%.
 //   * What does the ARQ layer itself cost? A closed-loop reliable pump
 //     (every node keeps one payload in flight per neighbor, refilling as
 //     the transport drains) against a raw baseline pushing the identical
@@ -23,9 +18,6 @@
 // --degree=8                  target average UDG degree
 // --rounds=0                  rounds per run (0 = auto ~1M node-rounds)
 // --repeats=3                 timed repetitions per mode (best is kept)
-// --gate=1                    exit nonzero when the budget fails (0 for
-//                             smoke runs on loaded machines: the ratio is
-//                             still reported, the timing is not trusted)
 // --json=BENCH_transport.json machine-readable output ("" = none)
 // --csv=path                  optional CSV mirror of the table
 #include <algorithm>
@@ -117,11 +109,10 @@ struct RunStats {
 };
 
 RunStats run_raw(const geom::UnitDiskGraph& udg, std::int64_t rounds,
-                 int repeats, bool install_clean_channel) {
+                 int repeats) {
   RunStats best;
   for (int rep = 0; rep < repeats; ++rep) {
     sim::SyncNetwork net(udg, kNetSeed);
-    if (install_clean_channel) net.set_channel(sim::ChannelOptions{});
     net.set_all_processes(
         [&](NodeId) { return std::make_unique<RawFlood>(rounds); });
     bench::WallClock clock;
@@ -177,7 +168,6 @@ int main(int argc, char** argv) {
   const auto rounds_arg = args.get_int("rounds", 0);
   const int repeats =
       std::max(1, static_cast<int>(args.get_int("repeats", 3)));
-  const bool gate = args.get_int("gate", 1) != 0;
   const std::string json_path =
       args.get_string("json", "BENCH_transport.json");
   constexpr double kLosses[] = {0.0, 0.1, 0.3};
@@ -186,7 +176,6 @@ int main(int argc, char** argv) {
                      "frames", "retrans", "goodput/link"},
                     args);
   std::vector<std::string> json_rows;
-  bool within_budget = true;
 
   for (long long n_ll : sizes) {
     const auto n = static_cast<NodeId>(n_ll);
@@ -200,7 +189,7 @@ int main(int argc, char** argv) {
         geom::uniform_udg_with_degree(n, degree, graph_rng);
     const double links = static_cast<double>(2 * udg.graph.m());
 
-    const RunStats raw = run_raw(udg, rounds, repeats, false);
+    const RunStats raw = run_raw(udg, rounds, repeats);
     const double raw_rps = static_cast<double>(raw.rounds) / raw.seconds;
     out.row({util::fmt(static_cast<long long>(n)), "plane", "-",
              util::fmt(raw.rounds), util::fmt(raw_rps, 1), "1.000", "-", "-",
@@ -210,21 +199,6 @@ int main(int argc, char** argv) {
         ", \"loss\": 0.0, \"rounds\": " + std::to_string(raw.rounds) +
         ", \"seconds\": " + util::fmt(raw.seconds, 6) +
         ", \"rounds_per_sec\": " + util::fmt(raw_rps, 3) + "}");
-
-    // The acceptance row: identical workload, clean channel installed.
-    const RunStats chan = run_raw(udg, rounds, repeats, true);
-    const double chan_rps = static_cast<double>(chan.rounds) / chan.seconds;
-    const double chan_vs = chan_rps / raw_rps;
-    if (chan_vs < 0.95) within_budget = false;
-    out.row({util::fmt(static_cast<long long>(n)), "channel", "0.0",
-             util::fmt(chan.rounds), util::fmt(chan_rps, 1),
-             util::fmt(chan_vs, 3), "-", "-", "-"});
-    json_rows.push_back(
-        "    {\"n\": " + std::to_string(n) + ", \"mode\": \"channel\"" +
-        ", \"loss\": 0.0, \"rounds\": " + std::to_string(chan.rounds) +
-        ", \"seconds\": " + util::fmt(chan.seconds, 6) +
-        ", \"rounds_per_sec\": " + util::fmt(chan_rps, 3) +
-        ", \"vs_plane\": " + util::fmt(chan_vs, 4) + "}");
 
     for (const double loss : kLosses) {
       const RunStats t = run_transport(udg, rounds, loss, repeats);
@@ -258,26 +232,20 @@ int main(int argc, char** argv) {
     out.rule();
   }
 
-  out.print("P9 — channel runtime + reliable-transport cost (avg degree " +
+  out.print("P9 — reliable-transport cost (avg degree " +
             util::fmt(degree, 1) + ", best of " + util::fmt(repeats) + ")");
-  if (!within_budget) {
-    std::cout << "WARNING: zero-loss channel-runtime throughput fell below "
-                 "95% of the reliable plane\n";
-  }
 
   if (!json_path.empty()) {
     std::ofstream json(json_path);
     json << "{\n  \"bench\": \"transport\",\n"
          << "  \"workload\": \"udg_flood_and_closed_loop_pump\",\n"
          << "  \"degree\": " << util::fmt(degree, 1) << ",\n"
-         << "  \"budget\": \"channel(loss=0) >= 0.95 * plane\",\n"
-         << "  \"within_budget\": " << (within_budget ? "true" : "false")
-         << ",\n  \"results\": [\n";
+         << "  \"results\": [\n";
     for (std::size_t i = 0; i < json_rows.size(); ++i) {
       json << json_rows[i] << (i + 1 < json_rows.size() ? ",\n" : "\n");
     }
     json << "  ]\n}\n";
     std::cout << "wrote " << json_path << "\n";
   }
-  return gate && !within_budget;
+  return 0;
 }

@@ -8,7 +8,7 @@ Usage:
 Both files must be outputs of the same bench binary (BENCH_*.json shape:
 a top-level object with a "results" array of flat row objects). Rows are
 matched by their identity keys — every key that is not a measurement
-(throughputs, timings, derived ratios). For each matched row, every
+(throughputs, timings, and derived ratios: any `vs_*` or `speedup_*` key). For each matched row, every
 `*_per_sec` metric present in both is compared; a fresh value more than
 `tolerance` below the committed one is a regression and the script exits
 nonzero. Rows present on only one side produce warnings, not failures, so
@@ -29,12 +29,12 @@ import os
 import sys
 import tempfile
 
-# Keys that are measurements or derived from them — never identity.
+# Keys that are measurements or derived from them — never identity. Ratios
+# (`vs_*`, `speedup_*`) are matched by prefix in is_measurement().
 MEASUREMENT_KEYS = frozenset({
     "seconds", "rounds", "messages", "words",
     "peak_rss_mb", "allocs_per_round", "allocs_per_trial", "wall_s",
-    "speedup_vs_legacy", "speedup_vs_1t", "speedup_vs_scalar",
-    "speedup_vs_reference", "efficiency", "vs_off", "vs_reference",
+    "efficiency",
     # Perf-attribution block and its components (bench_common.h
     # perf_attribution_json): where the time went, never which row it is.
     "phase_attribution", "coverage", "imbalance_mean", "imbalance_max",
@@ -42,12 +42,16 @@ MEASUREMENT_KEYS = frozenset({
 })
 
 
+def is_measurement(key):
+    return (key.endswith("_per_sec") or key in MEASUREMENT_KEYS
+            or key.startswith(("vs_", "speedup_")))
+
+
 def identity(row):
     # Composite values (e.g. the phase_attribution object) are measurements
     # by construction and unhashable besides, so they never join the key.
     return tuple(sorted((k, v) for k, v in row.items()
-                        if not k.endswith("_per_sec")
-                        and k not in MEASUREMENT_KEYS
+                        if not is_measurement(k)
                         and not isinstance(v, (dict, list))))
 
 
@@ -223,6 +227,19 @@ def selftest():
             {"section": "x", "n": 20, "ops_per_sec": 50.0},
         ]})
 
+        # A timing ratio such as vs_plane moves with the timing itself; it
+        # must not split a row from its baseline and hide the regression.
+        ratio_base = write("ratio_base.json", {"results": [
+            {"n": 500, "mode": "plane", "rounds_per_sec": 1000.0},
+            {"n": 500, "mode": "transport", "loss": 0.1,
+             "rounds_per_sec": 400.0, "vs_plane": 0.4},
+        ]})
+        ratio_slow = write("ratio_slow.json", {"results": [
+            {"n": 500, "mode": "plane", "rounds_per_sec": 1000.0},
+            {"n": 500, "mode": "transport", "loss": 0.1,
+             "rounds_per_sec": 200.0, "vs_plane": 0.2},
+        ]})
+
         expect("within tolerance", run(base, same), want_fail=False)
         expect("regression detected", run(base, slow), want_fail=True)
         expect("regression inside loose tolerance",
@@ -240,13 +257,15 @@ def selftest():
                run(attrib_base, attrib_same), want_fail=False)
         expect("regression caught despite matching attribution",
                run(attrib_base, attrib_slow), want_fail=True)
+        expect("regression caught on a row carrying vs_plane",
+               run(ratio_base, ratio_slow), want_fail=True)
 
     if failures:
         print("bench_check --selftest: FAILED")
         for f in failures:
             print(f"  {f}")
         return 1
-    print("bench_check --selftest: OK — 12 fixtures behaved as expected")
+    print("bench_check --selftest: OK — 13 fixtures behaved as expected")
     return 0
 
 

@@ -17,8 +17,10 @@ namespace ftc::graph {
 /// Writes g in edge-list format.
 void write_edge_list(std::ostream& os, const Graph& g);
 
-/// Reads a graph in edge-list format. Throws std::runtime_error on malformed
-/// input (bad header, out-of-range endpoint, wrong edge count).
+/// Reads a graph in edge-list format. Throws std::runtime_error naming the
+/// 1-based line on malformed input: a bad header, n past the NodeId range,
+/// m > n(n-1)/2, an out-of-range endpoint or self-loop, trailing tokens on
+/// a line, or fewer than m edge lines.
 [[nodiscard]] Graph read_edge_list(std::istream& is);
 
 /// Round-trips via files. write throws on IO failure.

@@ -6,7 +6,7 @@
 // sim::Context::obs(), which hands them a shard-bound Recorder so their
 // emissions stage into per-shard slots and merge deterministically at the
 // round barrier. A detached network (the default) pays one null check per
-// round phase — the disabled path is benchmarked by bench_obs_overhead.
+// round phase — the disabled path is benchmarked by bench_flood.
 #pragma once
 
 #include <cstdint>

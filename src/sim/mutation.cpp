@@ -138,15 +138,16 @@ const AppliedMutation& DynamicWorld::apply(const Mutation& m) {
 
   switch (m.kind) {
     case MutationKind::kJoin: {
-      const NodeId v = plain_.add_node(
-          active(m.peer) ? static_cast<std::size_t>(plain_.degree(m.peer)) + 1
-                         : 0);
-      active_.push_back(1);
-      out.m.node = v;
       // Anchor to the peer's closed neighborhood when the peer is usable;
       // otherwise the node joins isolated (still a valid deployment — its
-      // clamped demand is 1 and it can only cover itself).
-      if (active(m.peer)) {
+      // clamped demand is 1 and it can only cover itself). Decided before
+      // v exists, so a peer naming v itself also joins isolated.
+      const bool anchored = active(m.peer);
+      const NodeId v = plain_.add_node(
+          anchored ? static_cast<std::size_t>(plain_.degree(m.peer)) + 1 : 0);
+      active_.push_back(1);
+      out.m.node = v;
+      if (anchored) {
         plain_.add_edge(v, m.peer);
         delta.added.push_back(norm(v, m.peer));
         // The peer's list was captured before v linked in, so iterate a

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -59,6 +60,41 @@ TEST(EdgeListIo, OutOfRangeEndpointThrows) {
 TEST(EdgeListIo, SelfLoopThrows) {
   std::istringstream in("3 1\n1 1\n");
   EXPECT_THROW((void)read_edge_list(in), std::runtime_error);
+}
+
+TEST(EdgeListIo, NodeCountPastNodeIdRangeThrows) {
+  std::istringstream in("2147483648 0\n");
+  EXPECT_THROW((void)read_edge_list(in), std::runtime_error);
+}
+
+TEST(EdgeListIo, EdgeCountPastSimpleGraphBoundThrows) {
+  // A simple 10-node graph has at most 45 edges; the header alone decides,
+  // even when 46 (necessarily repeated) edge lines follow.
+  std::string text = "10 46\n";
+  for (int i = 0; i < 46; ++i) text += "0 1\n";
+  std::istringstream in(text);
+  EXPECT_THROW((void)read_edge_list(in), std::runtime_error);
+}
+
+TEST(EdgeListIo, TrailingHeaderTokenThrows) {
+  std::istringstream in("3 1 x\n0 1\n");
+  EXPECT_THROW((void)read_edge_list(in), std::runtime_error);
+}
+
+TEST(EdgeListIo, TrailingEdgeTokenThrows) {
+  std::istringstream in("3 1\n0 1 extra\n");
+  EXPECT_THROW((void)read_edge_list(in), std::runtime_error);
+}
+
+TEST(EdgeListIo, ErrorNamesTheLine) {
+  std::istringstream in("# comment\n3 2\n0 1\n\n1 9\n");
+  try {
+    (void)read_edge_list(in);
+    FAIL() << "expected a parse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 5:"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(EdgeListIo, FileRoundTrip) {

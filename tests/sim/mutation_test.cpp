@@ -74,6 +74,21 @@ TEST(DynamicWorld, CombinatorialJoinAnchorsToClosedNeighborhood) {
   EXPECT_EQ(world.active_count(), 5);
 }
 
+TEST(DynamicWorld, CombinatorialJoinNamingItselfJoinsIsolated) {
+  // The new node's id is n before the join; a peer equal to it names no
+  // node that exists yet, so no edge (and no self-edge) may be reported.
+  DynamicWorld world(graph::path(3));  // 0-1-2
+  Mutation join;
+  join.kind = MutationKind::kJoin;
+  join.peer = 3;
+  const AppliedMutation& am = world.apply(join);
+  EXPECT_TRUE(am.applied);
+  EXPECT_EQ(am.m.node, 3);
+  EXPECT_TRUE(am.delta.added.empty());
+  EXPECT_EQ(world.snapshot().m(), 2u);
+  EXPECT_EQ(world.active_count(), 4);
+}
+
 TEST(DynamicWorld, LeaveIsolatesAndClampsFollowups) {
   const graph::Graph g = graph::complete(4);
   DynamicWorld world(g);
